@@ -7,7 +7,7 @@ GO ?= go
 # mutator beyond the seed corpus, short enough for a pre-merge gate.
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race check bench bench-smoke bench-gate trace-smoke fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke clean
+.PHONY: all build vet test race check bench bench-smoke bench-gate trace-smoke fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke perfbench-smoke clean
 
 # Scratch dir for gate artifacts that must not clobber committed baselines.
 SCRATCH ?= .scratch
@@ -80,16 +80,21 @@ cluster-smoke:
 	$(GO) test -run '^TestClusterKillShard$$' -count=1 -v .
 	$(GO) test -count=1 ./internal/cluster/ ./internal/retry/
 
-# par-smoke is the dependency-aware scheduling gate: the work-stealing
-# scheduler's unit suite under the race detector, the DAG-vs-chunk-vs-
-# sequential differential and resume-determinism matrices, and the CLI
-# round trip (dpv/lratcheck -sched dag against -sched chunk and a
-# sequential run, byte-compared).
+# par-smoke is the parallel gate: the work-stealing scheduler's unit suite
+# and lratcheck's DAG-scheduled replay (differential against the chunked
+# and sequential checks) under the race detector, and the CLI round trip
+# (dpv sequential vs fixed-chunk -par reports, and the emitted LRAT
+# replayed by lratcheck under both schedules).
 par-smoke:
 	$(GO) test -race -count=1 ./internal/sched/
-	$(GO) test -race -run '^TestVerifyDAG|^TestDAGCheckpoint|^TestResolveWorkersDAG$$' -count=1 ./internal/core/
 	$(GO) test -race -run '^TestCheckDAG|^TestReplayer|^TestBuildDAG' -count=1 ./internal/lrat/
 	$(GO) test -run '^TestParSmoke$$' -count=1 -v .
+
+# perfbench-smoke runs the end-to-end benchmark's own tests. perfbench is a
+# nested module, so the root `go test ./...` never enters it; without this
+# target a renamed or deleted exported name it uses would go unnoticed.
+perfbench-smoke:
+	cd perfbench && $(GO) test -count=1 ./...
 
 # bench-smoke replays small pigeonhole/random proofs through every BCP
 # engine (propagations/sec, watcher-visits per check, and the
@@ -131,11 +136,13 @@ trace-smoke:
 # race detector, a short fuzz pass over the untrusted-input parsers and the
 # admission gates (daemon and router), the kill-and-recover crash loops
 # (CLI, daemon, and cluster kill-a-shard), the hinted-proof (LRAT) gate,
-# the dependency-aware scheduling gate, the trace roundtrip + overhead
-# smoke, and the benchmark perf-regression gate (BCP engines, hinted
-# re-check throughput, and the chunk-vs-DAG schedule). Run it before every
-# merge; CI and reviewers assume it is green.
-check: vet build race fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke trace-smoke bench-gate
+# the parallel gate, the trace roundtrip + overhead smoke, the benchmark
+# perf-regression gate (BCP engines, hinted re-check throughput, and the
+# parallel benchmark: hint-DAG shape, the chunked split against sequential
+# check-all, scheduled replay throughput), and the end-to-end benchmark's
+# own tests. Run it before every merge; CI and reviewers assume it is
+# green.
+check: vet build race fuzz-smoke crash-smoke daemon-smoke lrat-smoke cluster-smoke par-smoke trace-smoke bench-gate perfbench-smoke
 
 # bench compiles and smoke-runs every benchmark once (not a measurement run).
 bench:

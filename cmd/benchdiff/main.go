@@ -23,8 +23,8 @@
 //
 // With -par the inputs are parallel-schedule benchmark reports (parbench
 // output): the hint DAG's shape (tasks, edges, costs, depth) is gated per
-// instance, the chunk/DAG speedup and scheduled replay throughput on the
-// suite aggregate under the same noise-floor rules.
+// instance, scheduled replay throughput on the suite aggregate under the
+// same noise-floor rules.
 //
 // Exit status: 0 gate passed, 1 regressions found, 2 usage or input errors.
 package main

@@ -69,7 +69,9 @@ func run() int {
 	pprofFlag := flag.Bool("pprof", false, "with -metrics: also serve net/http/pprof under /debug/pprof/")
 	simp := flag.Bool("simp", false, "preprocess before solving (NOTE: any proof then refers to the simplified formula)")
 	portfolio := flag.Int("portfolio", 0, "race N diversified solver configurations; the winner's proof is written at the end (streaming and -drat are unavailable in this mode)")
-	flag.Parse()
+	if code, ok := exitcode.ParseFlags(); !ok {
+		return code
+	}
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: bksat [flags] formula.cnf")

@@ -12,19 +12,15 @@
 //
 //	-all            check every proof clause (Proof_verification1)
 //	-engine NAME    watched | counting BCP engine (default watched)
-//	-par N          fan the check over N workers (0 = sequential)
-//	-sched NAME     parallel schedule with -par: "chunk" slices the trace
-//	                into fixed per-worker ranges (always checks every
-//	                clause, extracts no core); "dag" runs the sequential
-//	                checker once to record LRAT hints, then revalidates
-//	                every recorded step in parallel over the hint
-//	                dependency DAG — honoring the default marked mode and
-//	                supporting -core/-trim/-emit-lrat (default chunk)
+//	-par N          slice the trace into N fixed per-worker chunks
+//	                (0 = sequential; negative = GOMAXPROCS). Chunked
+//	                workers check every clause and extract no core, so
+//	                -core, -trim and -emit-lrat need the sequential checker
 //	-core FILE      write the unsatisfiable core as DIMACS
 //	-trim FILE      write the trimmed proof (used clauses only)
 //	-emit-lrat FILE write an LRAT hinted proof of the verification
-//	                (sequential or -sched dag; lratcheck re-validates it
-//	                without BCP)
+//	                (lratcheck re-validates it without BCP, optionally
+//	                work-stealing over its hint DAG with -sched dag)
 //	-lrat-binary    write -emit-lrat output in the compact binary format
 //	-timeout D      give up after this long (e.g. 30s, 5m; 0 = unlimited)
 //	-max-props N    give up after N unit propagations (0 = unlimited)
@@ -80,7 +76,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/trace"
 	"repro/internal/proof"
-	"repro/internal/sched"
 	"repro/internal/service"
 )
 
@@ -91,8 +86,7 @@ func main() {
 func run() int {
 	all := flag.Bool("all", false, "check every clause (Proof_verification1)")
 	engine := flag.String("engine", "watched", "BCP engine: watched | counting | watched-scratch")
-	par := flag.Int("par", 0, "parallel workers (0 = sequential)")
-	schedName := flag.String("sched", "chunk", "parallel schedule with -par: chunk | dag")
+	par := flag.Int("par", 0, "parallel workers over fixed trace chunks (0 = sequential)")
 	corePath := flag.String("core", "", "write the unsatisfiable core (DIMACS) to this file")
 	trimPath := flag.String("trim", "", "write the trimmed proof to this file")
 	lratPath := flag.String("emit-lrat", "", "write an LRAT hinted proof to this file")
@@ -113,24 +107,20 @@ func run() int {
 	traceJSONL := flag.String("trace-jsonl", "", "write the flight recording as JSONL events to this file")
 	traceBuf := flag.Int("trace-buf", 0, "flight recorder ring capacity in events per track (0 = default 65536)")
 	quiet := flag.Bool("q", false, "quiet")
-	flag.Parse()
+	if code, ok := exitcode.ParseFlags(); !ok {
+		return code
+	}
 
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: dpv [flags] formula.cnf proof.trace")
 		return exitcode.Usage
 	}
-	strategy, serr := sched.ParseStrategy(*schedName)
-	if serr != nil {
-		fmt.Fprintln(os.Stderr, "dpv:", serr)
+	if *par != 0 && (*corePath != "" || *trimPath != "") {
+		fmt.Fprintln(os.Stderr, "dpv: chunked -par checks every clause without marking; -core/-trim need the sequential checker")
 		return exitcode.Usage
 	}
-	dagSched := *par != 0 && strategy == sched.StrategyDAG
-	if *par != 0 && !dagSched && (*corePath != "" || *trimPath != "") {
-		fmt.Fprintln(os.Stderr, "dpv: chunked -par checks every clause without marking; -core/-trim need the sequential checker or -sched dag")
-		return exitcode.Usage
-	}
-	if *par != 0 && !dagSched && *lratPath != "" {
-		fmt.Fprintln(os.Stderr, "dpv: -emit-lrat records one engine's propagation order; it needs the sequential checker or -sched dag")
+	if *par != 0 && *lratPath != "" {
+		fmt.Fprintln(os.Stderr, "dpv: -emit-lrat records one engine's propagation order; it needs the sequential checker")
 		return exitcode.Usage
 	}
 	if *lratBinary && *lratPath == "" {
@@ -225,7 +215,14 @@ func run() int {
 	if *all {
 		opt.Mode = core.ModeCheckAll
 	}
-	opt.Sched = strategy
+	// Chunked workers cannot mark, so -par checks every clause. A -par that
+	// resolves to one worker runs the sequential checker, and its journal
+	// holds sequential records.
+	workers := 0
+	if *par != 0 {
+		opt.Mode = core.ModeCheckAll
+		workers = core.ResolveWorkers(tr.Len(), *par)
+	}
 	switch *engine {
 	case "watched":
 		opt.Engine = core.EngineWatched
@@ -258,15 +255,9 @@ func run() int {
 			FormulaFP: journal.FingerprintFormula(f),
 			ProofFP:   journal.FingerprintTrace(tr),
 		}
-		if dagSched {
-			// DAG parallelism does not shape durable state (the watermark is
-			// worker-independent), so Workers stays 0 and any -par resumes
-			// the journal; the actual mode is honored and recorded.
-			meta.Kind = journal.KindVerifyDAG
-		} else if *par != 0 {
+		if workers > 1 {
 			meta.Kind = journal.KindVerifyParallel
-			meta.Mode = uint8(core.ModeCheckAll)
-			meta.Workers = uint32(core.ResolveWorkers(tr.Len(), *par))
+			meta.Workers = uint32(workers)
 		}
 		var resumeCp *core.Checkpoint
 		var resumePayload []byte
@@ -275,16 +266,7 @@ func run() int {
 			if jerr == nil {
 				cp, derr := core.DecodeCheckpoint(payload)
 				if derr == nil {
-					if cp.DAG {
-						// A phase-2 record of a DAG run (journal kinds already
-						// matched, so this run is DAG-scheduled too).
-						derr = cp.ValidateForDAG(f.NumClauses(), tr.Len())
-					} else if dagSched {
-						// A DAG run killed during its sequential emit phase.
-						derr = cp.ValidateFor(f.NumClauses(), tr.Len(), 0)
-					} else {
-						derr = cp.ValidateFor(f.NumClauses(), tr.Len(), int(meta.Workers))
-					}
+					derr = cp.ValidateFor(f.NumClauses(), tr.Len(), int(meta.Workers))
 				}
 				if derr == nil && hints != nil && cp.Hints == nil {
 					// The steps recorded before the crash live only in the
@@ -408,8 +390,12 @@ func run() int {
 		fmt.Printf("c mode=%v engine=%v termination=%v\n", opt.Mode, opt.Engine, res.Termination)
 		fmt.Printf("c proof clauses=%d tested=%d (%.1f%%) skipped=%d tautologies=%d\n",
 			res.ProofClauses, res.Tested, res.TestedPct(), res.Skipped, res.Tautologies)
-		fmt.Printf("c unsat core: %d of %d original clauses (%.1f%%)\n",
-			len(res.Core), f.NumClauses(), res.CorePct(f.NumClauses()))
+		if workers > 1 {
+			fmt.Println("c unsat core: not extracted (chunked -par checks without marking)")
+		} else {
+			fmt.Printf("c unsat core: %d of %d original clauses (%.1f%%)\n",
+				len(res.Core), f.NumClauses(), res.CorePct(f.NumClauses()))
+		}
 		fmt.Printf("c propagations=%d\n", res.Propagations)
 	}
 

@@ -68,7 +68,9 @@ func run() int {
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON flight recording to this file")
 	traceJSONL := flag.String("trace-jsonl", "", "write the flight recording as JSONL to this file")
 	traceBuf := flag.Int("trace-buf", trace.DefaultTrackEvents, "flight recorder ring capacity per track")
-	flag.Parse()
+	if code, ok := exitcode.ParseFlags(); !ok {
+		return code
+	}
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: dratcheck [-q] [-backward [-trim out.drat] [-core out.cnf] [-checkpoint j [-resume]]] [-stats-json f] [-trace-out f] [-trace-jsonl f] formula.cnf proof.drat")
 		return exitcode.Usage

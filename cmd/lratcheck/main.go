@@ -49,7 +49,9 @@ func run() int {
 	schedName := flag.String("sched", "dag", "parallel schedule with -par: chunk (fixed step ranges) | dag (work-stealing over the hint dependency DAG)")
 	timeout := flag.Duration("timeout", 0, "give up after this long (0 = unlimited)")
 	statsJSON := flag.String("stats-json", "", "write a JSON metrics snapshot to this file")
-	flag.Parse()
+	if code, ok := exitcode.ParseFlags(); !ok {
+		return code
+	}
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: lratcheck [-q] [-par N] [-sched chunk|dag] [-timeout D] [-stats-json f] formula.cnf proof.lrat")
 		return exitcode.Usage

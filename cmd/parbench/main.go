@@ -1,10 +1,12 @@
-// Command parbench measures the dependency-aware work-stealing schedule
-// against the fixed-chunk split on trace shapes built to punish chunking:
-// expensive redundant steps clustered where a contiguous split lands them
-// on one worker. It writes a BENCH_par.json report (see
-// internal/bench.ParReport) and enforces the acceptance floors — suite
-// chunk/DAG speedup at least 1.3x and scheduled wall time within 2x of the
-// critical-path lower bound — whenever the walls clear the noise floor.
+// Command parbench measures the fixed-chunk parallel split against the
+// sequential check-marked and check-all runs on the same host, on trace
+// shapes built to punish chunking: expensive redundant steps clustered
+// where a contiguous split lands them on one worker. It also times the
+// work-stealing scheduler replaying the recorded hint DAG (the schedule
+// behind lratcheck -sched dag). It writes a BENCH_par.json report (see
+// internal/bench.ParReport) and enforces the acceptance ceiling — scheduled
+// wall time within 2x of the critical-path lower bound — whenever the walls
+// clear the noise floor.
 //
 // Usage:
 //
@@ -14,7 +16,7 @@
 // parameters as the full suite, so the output still diffs against a
 // committed full-suite baseline via benchdiff -par).
 //
-// Exit status: 0 success, 1 an acceptance floor was violated, 2 usage or
+// Exit status: 0 success, 1 the acceptance ceiling was violated, 2 usage or
 // measurement errors.
 package main
 
@@ -35,7 +37,7 @@ func main() {
 
 func run() int {
 	quick := flag.Bool("quick", false, "headline instance only, for smoke gating")
-	par := flag.Int("par", 8, "worker count for both schedules")
+	par := flag.Int("par", 8, "worker count for the chunked split and the scheduler")
 	iters := flag.Int("iters", 3, "repetitions per measurement (best is kept)")
 	out := flag.String("o", "", "write the JSON report to this file")
 	flag.Parse()
@@ -55,12 +57,12 @@ func run() int {
 		fmt.Printf("%-16s trace=%d marked=%d dag(depth=%d width=%d crit=%d/%d)\n",
 			ir.Name, ir.TraceLen, ir.Marked,
 			ir.DAGStats.Depth, ir.DAGStats.MaxWidth, ir.DAGStats.CritCost, ir.DAGStats.TotalCost)
-		fmt.Printf("%-16s chunk=%.2fms dag=%.2fms speedup=%.2fx  T1=%.2fms TW=%.2fms steals=%d crit-ratio=%.2fx\n",
-			"", ir.ChunkMillis, ir.DAGMillis, ir.Speedup,
+		fmt.Printf("%-16s chunk=%.2fms seq-marked=%.2fms seq-all=%.2fms  T1=%.2fms TW=%.2fms steals=%d crit-ratio=%.2fx\n",
+			"", ir.ChunkMillis, ir.SeqMarkedMillis, ir.SeqAllMillis,
 			ir.T1Millis, ir.TWMillis, ir.Steals, ir.CritRatio)
 	}
-	fmt.Printf("suite: chunk=%.2fms dag=%.2fms speedup=%.2fx\n",
-		rep.TotalChunkMillis, rep.TotalDAGMillis, rep.Speedup)
+	fmt.Printf("suite: chunk=%.2fms seq-marked=%.2fms seq-all=%.2fms\n",
+		rep.TotalChunkMillis, rep.TotalSeqMarkedMillis, rep.TotalSeqAllMillis)
 
 	if *out != "" {
 		write := func(w io.Writer) error {

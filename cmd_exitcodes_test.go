@@ -164,6 +164,13 @@ func TestExitCodes(t *testing.T) {
 		{"dpv prop budget", dpv, []string{"-max-props", "1", unsatCNF, trace}, 5},
 		{"dpv memory budget", dpv, []string{"-max-memory", "16", unsatCNF, trace}, 5},
 		{"dpv usage", dpv, []string{unsatCNF}, 1},
+		// Flag errors are usage errors, never the "proof rejected" code 2 —
+		// including the retired -sched flag of older scripts.
+		{"dpv retired sched flag", dpv, []string{"-par", "4", "-sched", "dag", unsatCNF, trace}, 1},
+		{"dpv unknown flag", dpv, []string{"-bogus", unsatCNF, trace}, 1},
+		{"bksat unknown flag", bksat, []string{"-bogus", unsatCNF}, 1},
+		{"dratcheck unknown flag", dratcheck, []string{"-bogus", unsatCNF, trace}, 1},
+		{"lratcheck unknown flag", lratcheck, []string{"-bogus", unsatCNF, lratProof}, 1},
 		{"bksat sat", bksat, []string{satCNF}, 10},
 		{"bksat unsat", bksat, []string{unsatCNF}, 20},
 		{"bksat malformed", bksat, []string{garbage}, 3},

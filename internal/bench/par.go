@@ -12,36 +12,28 @@ import (
 	"repro/internal/sched"
 )
 
-// Parallel-schedule benchmark: measures what dependency-aware scheduling
-// buys over the fixed-chunk split. Each instance is a hand-built formula +
-// trace pair whose shape is adversarial for chunking — expensive steps
-// clustered at the front, most of the trace redundant — and the same
-// verdict is derived two ways:
+// Parallel benchmark. Each instance is a hand-built formula + trace pair
+// whose shape is adversarial for chunking — expensive steps clustered at
+// the front, most of the trace redundant. Two things are measured:
 //
-//   - chunk — VerifyParallelOpts with the fixed-chunk schedule: every
-//     worker builds a private clause database and every step is checked by
-//     unit propagation, marked or not (chunking cannot honor check-marked).
-//   - dag   — the emit-then-schedule pipeline: one sequential check-marked
-//     pass records LRAT hints, then the work-stealing scheduler revalidates
-//     the recorded steps by propagation-free replay over the hint DAG.
-//
-// The headline Speedup is suite-total chunk wall time over suite-total DAG
-// wall time at the same worker count; the acceptance floor is 1.3x. The
-// scheduler itself is measured separately (T1 = one worker replaying every
-// step, TW = the work-stealing run), and CritRatio compares TW against the
-// Brent lower bound max(T1/P, T1*CritCost/TotalCost) with P capped at the
-// machine's CPU count — on a single-core host the bound degenerates to T1
-// and CritRatio is exactly the scheduler's overhead factor, which must stay
-// under 2x.
+//   - End to end, the fixed-chunk split (VerifyParallelOpts: every worker
+//     builds a private clause database and checks every step by unit
+//     propagation, marked or not) against its sequential baselines on the
+//     same host: core.Verify check-marked (the paper's Proof_verification2,
+//     dpv's default) and check-all (Proof_verification1, the work chunking
+//     does).
+//   - The work-stealing scheduler that lratcheck -sched dag and the
+//     daemon's recheck run, over the hint DAG one sequential check-marked
+//     pass records: T1 is one worker replaying every step, TW the
+//     work-stealing run. CritRatio compares TW against the Brent lower
+//     bound max(T1/P, T1*CritCost/TotalCost) with P capped at the machine's
+//     CPU count — on a single-core host the bound degenerates to T1 and
+//     CritRatio is exactly the scheduler's overhead factor.
 
-// ParSpeedupFloor is the minimum acceptable suite-aggregate chunk/DAG
-// speedup, and ParCritRatioCeil the maximum acceptable ratio of the
-// work-stealing wall time to its critical-path lower bound. Both are only
-// enforced above the wall-time noise floor (minWallMillis).
-const (
-	ParSpeedupFloor  = 1.3
-	ParCritRatioCeil = 2.0
-)
+// ParCritRatioCeil is the maximum acceptable ratio of the work-stealing
+// wall time to its critical-path lower bound, enforced only above the
+// wall-time noise floor (minWallMillis).
+const ParCritRatioCeil = 2.0
 
 // ParInstance is a named formula + trace pair built for scheduler
 // benchmarking (no solver involved: the trace shape is the experiment).
@@ -168,10 +160,11 @@ type ParInstanceReport struct {
 	// instance and the emission code, gated strictly.
 	DAGStats sched.Stats `json:"dag"`
 
-	// End-to-end pipeline walls, best of iters, same worker count.
-	ChunkMillis float64 `json:"chunk_ms"`
-	DAGMillis   float64 `json:"dag_ms"`
-	Speedup     float64 `json:"speedup"` // chunk over dag
+	// End-to-end walls, best of iters: the chunked split at Workers and
+	// the sequential check-marked and check-all baselines.
+	ChunkMillis     float64 `json:"chunk_ms"`
+	SeqMarkedMillis float64 `json:"seq_marked_ms"`
+	SeqAllMillis    float64 `json:"seq_all_ms"`
 
 	// Scheduler-level replay walls: T1 is one worker stepping the whole
 	// recording, TW the work-stealing run at Workers.
@@ -192,16 +185,18 @@ type ParReport struct {
 	EffectiveCPUs int                 `json:"effective_cpus"`
 	Instances     []ParInstanceReport `json:"instances"`
 
-	TotalChunkMillis float64 `json:"total_chunk_ms"`
-	TotalDAGMillis   float64 `json:"total_dag_ms"`
-	// Speedup is suite-total chunk wall over suite-total DAG wall.
-	Speedup float64 `json:"speedup"`
+	TotalChunkMillis     float64 `json:"total_chunk_ms"`
+	TotalSeqMarkedMillis float64 `json:"total_seq_marked_ms"`
+	TotalSeqAllMillis    float64 `json:"total_seq_all_ms"`
 }
 
-// parMeasure times fn, best of iters.
+// parMeasure times fn, best of iters. Each iteration starts from a
+// collected heap, so one run's garbage (a chunked run leaves a clause
+// database per worker) is not billed to the next.
 func parMeasure(iters int, fn func() error) (float64, error) {
 	best := time.Duration(-1)
 	for it := 0; it < iters; it++ {
+		runtime.GC()
 		t0 := time.Now()
 		if err := fn(); err != nil {
 			return 0, err
@@ -230,9 +225,9 @@ func ParBench(insts []ParInstance, workers, iters int) (*ParReport, error) {
 		}
 		rep.Instances = append(rep.Instances, *ir)
 		rep.TotalChunkMillis += ir.ChunkMillis
-		rep.TotalDAGMillis += ir.DAGMillis
+		rep.TotalSeqMarkedMillis += ir.SeqMarkedMillis
+		rep.TotalSeqAllMillis += ir.SeqAllMillis
 	}
-	rep.Speedup = ratio(rep.TotalChunkMillis, rep.TotalDAGMillis)
 	return rep, nil
 }
 
@@ -243,7 +238,7 @@ func parBenchOne(inst ParInstance, workers, iters int) (*ParInstanceReport, erro
 	}
 
 	// One producing run records the hints the scheduler-level measurements
-	// replay (the end-to-end DAG timing below re-records its own).
+	// replay.
 	rec := new(lrat.Recorder)
 	res, err := core.Verify(inst.F, inst.T, core.Options{Mode: core.ModeCheckMarked, Hints: rec})
 	if err != nil {
@@ -264,37 +259,37 @@ func parBenchOne(inst ParInstance, workers, iters int) (*ParInstanceReport, erro
 	d := rep.DAG()
 	ir.DAGStats = d.Stats()
 
-	// End-to-end: fixed-chunk check-all vs DAG emit-then-schedule, both at
-	// the same requested worker count.
-	ir.ChunkMillis, err = parMeasure(iters, func() error {
-		r, err := core.VerifyParallelOpts(inst.F, inst.T,
-			core.Options{Mode: core.ModeCheckAll}, workers)
-		if err != nil {
-			return fmt.Errorf("bench: %s: chunk: %w", inst.Name, err)
+	// End to end: the chunked split and both sequential baselines.
+	verdict := func(what string, run func() (*core.Result, error)) func() error {
+		return func() error {
+			r, err := run()
+			if err != nil {
+				return fmt.Errorf("bench: %s: %s: %w", inst.Name, what, err)
+			}
+			if !r.OK {
+				return fmt.Errorf("bench: %s: %s rejected at %d", inst.Name, what, r.FailedIndex)
+			}
+			return nil
 		}
-		if !r.OK {
-			return fmt.Errorf("bench: %s: chunk rejected at %d", inst.Name, r.FailedIndex)
-		}
-		return nil
-	})
+	}
+	ir.ChunkMillis, err = parMeasure(iters, verdict("chunk", func() (*core.Result, error) {
+		return core.VerifyParallelOpts(inst.F, inst.T, core.Options{Mode: core.ModeCheckAll}, workers)
+	}))
 	if err != nil {
 		return nil, err
 	}
-	ir.DAGMillis, err = parMeasure(iters, func() error {
-		r, err := core.VerifyParallelOpts(inst.F, inst.T,
-			core.Options{Mode: core.ModeCheckMarked, Sched: sched.StrategyDAG}, workers)
-		if err != nil {
-			return fmt.Errorf("bench: %s: dag: %w", inst.Name, err)
-		}
-		if !r.OK {
-			return fmt.Errorf("bench: %s: dag rejected at %d", inst.Name, r.FailedIndex)
-		}
-		return nil
-	})
+	ir.SeqMarkedMillis, err = parMeasure(iters, verdict("seq-marked", func() (*core.Result, error) {
+		return core.Verify(inst.F, inst.T, core.Options{Mode: core.ModeCheckMarked})
+	}))
 	if err != nil {
 		return nil, err
 	}
-	ir.Speedup = ratio(ir.ChunkMillis, ir.DAGMillis)
+	ir.SeqAllMillis, err = parMeasure(iters, verdict("seq-all", func() (*core.Result, error) {
+		return core.Verify(inst.F, inst.T, core.Options{Mode: core.ModeCheckAll})
+	}))
+	if err != nil {
+		return nil, err
+	}
 
 	// Scheduler-level: T1 replays every recorded step on one scratchpad.
 	ir.T1Millis, err = parMeasure(iters, func() error {
@@ -311,7 +306,8 @@ func parBenchOne(inst ParInstance, workers, iters int) (*ParInstanceReport, erro
 	}
 
 	// TW drives sched.Run directly, which also surfaces the steal count.
-	w := core.ResolveWorkersDAG(ir.DAGStats.MaxWidth, workers)
+	// More workers than the DAG's widest level can never run at once.
+	w := min(workers, max(ir.DAGStats.MaxWidth, 1))
 	var steals int64
 	ir.TWMillis, err = parMeasure(iters, func() error {
 		rws := make([]*lrat.ReplayWorker, w)
@@ -354,19 +350,13 @@ func parBenchOne(inst ParInstance, workers, iters int) (*ParInstanceReport, erro
 	return ir, nil
 }
 
-// CheckFloors enforces the acceptance criteria on a report: the aggregate
-// chunk/DAG speedup floor and the per-instance critical-path ratio ceiling.
-// Measurements under the wall-time noise floor are not judged (a
-// sub-10ms wall cannot separate scheduling from timer jitter). It returns
-// one human-readable violation per failure, empty on a pass.
+// CheckFloors enforces the acceptance criterion on a report: the
+// per-instance critical-path ratio ceiling. Measurements under the
+// wall-time noise floor are not judged (a sub-10ms wall cannot separate
+// scheduling from timer jitter). It returns one human-readable violation
+// per failure, empty on a pass.
 func (r *ParReport) CheckFloors() []string {
 	var v []string
-	if r.TotalChunkMillis >= minWallMillis && r.TotalDAGMillis >= minWallMillis/wallTolFactor {
-		if r.Speedup < ParSpeedupFloor {
-			v = append(v, fmt.Sprintf("aggregate chunk/dag speedup %.2fx under the %.1fx floor",
-				r.Speedup, ParSpeedupFloor))
-		}
-	}
 	for _, ir := range r.Instances {
 		if ir.T1Millis < minWallMillis {
 			continue

@@ -5,8 +5,8 @@ import "testing"
 // parGateReport builds a small two-instance parallel-schedule report; the
 // numbers are chosen so a test can degrade one copy and watch the gate trip.
 func parGateReport() *ParReport {
-	mk := func(name string, tasks, edges int, total, crit int64, chunk, dag, tw float64) ParInstanceReport {
-		ir := ParInstanceReport{Name: name, ChunkMillis: chunk, DAGMillis: dag, TWMillis: tw}
+	mk := func(name string, tasks, edges int, total, crit int64, tw float64) ParInstanceReport {
+		ir := ParInstanceReport{Name: name, TWMillis: tw}
 		ir.DAGStats.Tasks = tasks
 		ir.DAGStats.Edges = edges
 		ir.DAGStats.TotalCost = total
@@ -16,8 +16,8 @@ func parGateReport() *ParReport {
 	}
 	return &ParReport{
 		Instances: []ParInstanceReport{
-			mk("imb", 100, 99, 20000, 900, 200, 30, 8),
-			mk("wide", 700, 699, 900000, 4000, 6000, 700, 9),
+			mk("imb", 100, 99, 20000, 900, 8),
+			mk("wide", 700, 699, 900000, 4000, 9),
 		},
 	}
 }
@@ -27,9 +27,9 @@ func TestDiffParPassesOnIdenticalReports(t *testing.T) {
 	if len(regs) != 0 {
 		t.Fatalf("identical reports must pass, got %v", regs)
 	}
-	// 2 instances x 5 shape metrics + speedup + replay-cost/sec aggregates.
-	if compared != 12 {
-		t.Fatalf("compared = %d, want 12", compared)
+	// 2 instances x 5 shape metrics + the replay-cost/sec aggregate.
+	if compared != 11 {
+		t.Fatalf("compared = %d, want 11", compared)
 	}
 }
 
@@ -48,20 +48,20 @@ func TestDiffParFailsOnFatterDAG(t *testing.T) {
 	}
 }
 
-func TestDiffParFailsOnLostSpeedup(t *testing.T) {
+func TestDiffParFailsOnSlowerReplay(t *testing.T) {
 	fresh := parGateReport()
 	for i := range fresh.Instances {
-		fresh.Instances[i].DAGMillis *= 3 // DAG got 3x slower everywhere
+		fresh.Instances[i].TWMillis *= 3 // scheduled replay got 3x slower everywhere
 	}
 	regs, _ := DiffPar(parGateReport(), fresh, 0.15)
 	var hit bool
 	for _, r := range regs {
-		if r.Metric == "chunk/dag-speedup" {
+		if r.Metric == "replay-cost/sec" {
 			hit = true
 		}
 	}
 	if !hit {
-		t.Fatalf("speedup collapse not caught: %v", regs)
+		t.Fatalf("replay throughput collapse not caught: %v", regs)
 	}
 }
 
@@ -90,7 +90,7 @@ func TestParInstancesQuickIsPrefixOfFull(t *testing.T) {
 	}
 }
 
-// End to end on a miniature suite: both schedules accept, the report is
+// End to end on a miniature suite: every run accepts, the report is
 // internally consistent, and the DAG shape matches the construction.
 func TestParBenchSmall(t *testing.T) {
 	inst := selectorBlocks("tiny", 4, 30, 6, 20, 3)
@@ -113,10 +113,11 @@ func TestParBenchSmall(t *testing.T) {
 	if ir.DAGStats.Depth < 3 {
 		t.Errorf("depth = %d, want >= 3 (chained marked blocks)", ir.DAGStats.Depth)
 	}
-	if ir.ChunkMillis <= 0 || ir.DAGMillis <= 0 || ir.T1Millis <= 0 || ir.TWMillis <= 0 {
+	if ir.ChunkMillis <= 0 || ir.SeqMarkedMillis <= 0 || ir.SeqAllMillis <= 0 ||
+		ir.T1Millis <= 0 || ir.TWMillis <= 0 {
 		t.Errorf("non-positive walls: %+v", ir)
 	}
-	if rep.Speedup <= 0 {
-		t.Errorf("suite speedup = %v", rep.Speedup)
+	if rep.TotalSeqAllMillis != ir.SeqAllMillis {
+		t.Errorf("suite seq-all total = %v, want %v", rep.TotalSeqAllMillis, ir.SeqAllMillis)
 	}
 }

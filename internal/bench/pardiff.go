@@ -7,10 +7,14 @@ package bench
 //     is a deterministic function of the instance and the emission code,
 //     gated per instance at tol; growth here means the recorder started
 //     emitting fatter hint lists or the DAG builder added dependencies.
-//   - wall-clock metrics are gated on suite aggregates over common
-//     instances at twice tol and only above the noise floor: the chunk/DAG
-//     speedup must not shrink, and scheduled replay throughput
-//     (cost-units/sec through sched.Run) must not drop.
+//   - scheduled replay throughput (cost-units/sec through sched.Run) is
+//     gated on the suite aggregate over common instances at twice tol and
+//     only above the noise floor.
+//
+// The end-to-end walls (chunked, sequential check-marked and check-all)
+// are reported, not gated: on a shared 2-CPU host the chunked-to-
+// sequential ratio of the quick suite moved by more than 50% between
+// back-to-back runs.
 //
 // Zero comparisons means the reports share no instances; callers should
 // treat that as an error, not a pass.
@@ -29,7 +33,6 @@ func DiffPar(base, fresh *ParReport, tol float64) (regs []Regression, compared i
 		}
 	}
 
-	var baseChunk, baseDAG, freshChunk, freshDAG float64
 	var baseCost, freshCost int64
 	var baseTW, freshTW float64
 	for _, fir := range fresh.Instances {
@@ -43,10 +46,6 @@ func DiffPar(base, fresh *ParReport, tol float64) (regs []Regression, compared i
 		det(fir.Name, "dag-crit-cost", bir.DAGStats.CritCost, fir.DAGStats.CritCost)
 		det(fir.Name, "dag-depth", int64(bir.DAGStats.Depth), int64(fir.DAGStats.Depth))
 
-		baseChunk += bir.ChunkMillis
-		baseDAG += bir.DAGMillis
-		freshChunk += fir.ChunkMillis
-		freshDAG += fir.DAGMillis
 		baseCost += bir.DAGStats.TotalCost
 		freshCost += fir.DAGStats.TotalCost
 		baseTW += bir.TWMillis
@@ -56,16 +55,6 @@ func DiffPar(base, fresh *ParReport, tol float64) (regs []Regression, compared i
 		return nil, 0
 	}
 
-	if baseDAG >= minWallMillis && freshDAG >= minWallMillis &&
-		baseChunk >= minWallMillis && freshChunk >= minWallMillis {
-		bs := ratio(baseChunk, baseDAG)
-		fs := ratio(freshChunk, freshDAG)
-		compared++
-		if bs > 0 && fs < bs*(1-wallTolFactor*tol) {
-			regs = append(regs, Regression{Engine: "dag", Metric: "chunk/dag-speedup",
-				Base: bs, Fresh: fs, Delta: bs/fs - 1})
-		}
-	}
 	if baseTW >= minWallMillis && freshTW >= minWallMillis {
 		bc := float64(baseCost) / (baseTW / 1e3)
 		fc := float64(freshCost) / (freshTW / 1e3)

@@ -64,6 +64,21 @@ func TestDecodeCheckpointRejectsGarbage(t *testing.T) {
 	}
 }
 
+// The DAG-scheduled verifier that wrote version-3 records is gone. A record
+// it left behind — the hinted sequential layout under version byte 3 and
+// flag byte 2 — must never decode, so a resume falls back to a full run
+// instead of misreading its watermark as a loop index.
+func TestDAGCheckpointCrossValidation(t *testing.T) {
+	hinted := (&Checkpoint{NextIndex: 3, Marked: make([]bool, 10), Hints: []byte{1}}).Encode()
+	if hinted[0] != checkpointVersionHints {
+		t.Fatalf("hinted record has version %d, want %d", hinted[0], checkpointVersionHints)
+	}
+	old := append([]byte{3, 2}, hinted[2:]...)
+	if _, err := DecodeCheckpoint(old); !errors.Is(err, ErrBadCheckpoint) {
+		t.Fatalf("version-3 record: err = %v, want ErrBadCheckpoint", err)
+	}
+}
+
 func TestCheckpointValidateFor(t *testing.T) {
 	ok := &Checkpoint{NextIndex: 5, Marked: make([]bool, 10+20)}
 	if err := ok.ValidateFor(10, 20, 0); err != nil {

@@ -30,10 +30,8 @@ import (
 
 	"repro/internal/bcp"
 	"repro/internal/cnf"
-	"repro/internal/lrat"
 	"repro/internal/obs"
 	"repro/internal/proof"
-	"repro/internal/sched"
 )
 
 // Mode selects the verification procedure.
@@ -82,22 +80,9 @@ func (k EngineKind) String() string {
 }
 
 // Options configures Verify.
-//
-// Mode is honored by sequential Verify and by DAG-scheduled parallel runs
-// (Sched == sched.StrategyDAG), whose replay schedule is seeded from the
-// marking walk itself; fixed-chunk parallel runs (the Sched zero value)
-// cannot honor it — marking is inherently sequential, so VerifyParallelOpts
-// then checks every clause regardless of Mode. See VerifyParallelOpts.
 type Options struct {
 	Mode   Mode
 	Engine EngineKind
-
-	// Sched selects how VerifyParallelOpts distributes work across workers:
-	// StrategyChunk (the zero value) slices the trace into contiguous
-	// fixed-size chunks, StrategyDAG schedules over the recorded LRAT hint
-	// DAG (emit-then-schedule; see internal/core/dag.go). Sequential Verify
-	// ignores it.
-	Sched sched.Strategy
 
 	// Ctx, when non-nil, bounds the run: cancellation or an expired
 	// deadline stops the check loop (and propagation inside a single BCP
@@ -129,14 +114,24 @@ type Options struct {
 	// Hints, when non-nil, records an LRAT hint step for every successfully
 	// checked clause — plus a synthetic final empty-clause step when the
 	// trace terminates in a conflicting pair — using engine clause ID + 1 as
-	// the LRAT ID. Sequential Verify and DAG-scheduled parallel runs only;
-	// fixed-chunk VerifyParallelOpts rejects it (hints follow one engine's
-	// propagation order, and chunked workers each have their own). When
-	// checkpointing, the
+	// the LRAT ID. Sequential Verify only; VerifyParallelOpts rejects it
+	// (hints follow one engine's propagation order). When checkpointing, the
 	// recorder state rides in every checkpoint so a resumed run emits
 	// byte-identical LRAT; resuming with Hints set from a checkpoint
 	// recorded without them fails with ErrBadCheckpoint.
-	Hints *lrat.Recorder
+	Hints HintRecorder
+}
+
+// HintRecorder receives LRAT hint steps and round-trips them through
+// checkpoints; *lrat.Recorder implements it. Naming only the interface
+// keeps this checker and the propagation-free LRAT checker in packages
+// that share no code.
+type HintRecorder interface {
+	Record(id int64, c cnf.Clause, hints []int64)
+	// Encode serializes the steps recorded so far; Restore replaces them
+	// with a checkpoint's Encode output.
+	Encode() []byte
+	Restore(b []byte) error
 }
 
 // Result reports the outcome of a verification run.
@@ -169,9 +164,8 @@ type Result struct {
 
 	// Propagations is the total number of BCP-implied assignments.
 	// EngineStats is the engine's full cumulative statistics for sequential
-	// runs (DAG-scheduled checkpoints persist it so a resumed run re-seeds
-	// the observability counters exactly); chunked parallel runs leave it
-	// zero and report only Propagations.
+	// runs; chunked parallel runs leave it zero and report only
+	// Propagations.
 	Propagations int64
 	EngineStats  bcp.Stats
 
@@ -243,11 +237,9 @@ func Verify(f *cnf.Formula, t *proof.Trace, opt Options) (*Result, error) {
 			if ck.Resume.Hints == nil {
 				return nil, fmt.Errorf("%w: checkpoint carries no hint recorder", ErrBadCheckpoint)
 			}
-			restored, err := lrat.DecodeRecorder(ck.Resume.Hints)
-			if err != nil {
+			if err := opt.Hints.Restore(ck.Resume.Hints); err != nil {
 				return nil, fmt.Errorf("%w: hint recorder: %v", ErrBadCheckpoint, err)
 			}
-			*opt.Hints = *restored
 		}
 	}
 

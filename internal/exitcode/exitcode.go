@@ -7,6 +7,8 @@ package exitcode
 
 import (
 	"errors"
+	"flag"
+	"os"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
@@ -61,4 +63,20 @@ func FromVerifyError(err error) int {
 func IsBadInput(err error) bool {
 	return errors.Is(err, cnf.ErrMalformed) || errors.Is(err, cnf.ErrLimit) ||
 		errors.Is(err, proof.ErrMalformed) || errors.Is(err, proof.ErrLimit)
+}
+
+// ParseFlags parses the command line into the default flag set. A bad flag
+// maps to Usage, where the flag package itself would exit 2 — the code this
+// contract reserves for a rejected proof. -h prints the usage text and maps
+// to OK. ok is false when the caller should exit with code.
+func ParseFlags() (code int, ok bool) {
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	switch err := flag.CommandLine.Parse(os.Args[1:]); {
+	case err == nil:
+		return OK, true
+	case errors.Is(err, flag.ErrHelp):
+		return OK, false
+	default:
+		return Usage, false
+	}
 }

@@ -71,10 +71,8 @@ const (
 	KindVerifyParallel Kind = 2
 	// KindDRATBackward is drat.VerifyBackward.
 	KindDRATBackward Kind = 3
-	// KindVerifyDAG is core.VerifyParallelOpts with the DAG schedule. Its
-	// header records zero workers: DAG parallelism does not shape the
-	// durable state, so any -par may resume the journal.
-	KindVerifyDAG Kind = 4
+	// Kind 4 was a retired DAG-scheduled verifier and stays unused, so such
+	// a journal fails the kind check and its run starts from scratch.
 )
 
 func (k Kind) String() string {
@@ -85,8 +83,6 @@ func (k Kind) String() string {
 		return "verify-parallel"
 	case KindDRATBackward:
 		return "drat-backward"
-	case KindVerifyDAG:
-		return "verify-dag"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

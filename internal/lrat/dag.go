@@ -21,7 +21,7 @@ import (
 // 1 + len(hints): replay cost is linear in the hint list.
 
 // Replayer exposes step-at-a-time hinted replay for external schedulers
-// (core's DAG-scheduled verification). It is the structural pass of Check
+// (the parallel benchmark drives sched.Run over it directly). It is the structural pass of Check
 // (id resolution, liveness intervals, hint arena) frozen into an immutable
 // table that any number of ReplayWorkers can share.
 type Replayer struct {

@@ -58,6 +58,16 @@ func (r *Recorder) Encode() []byte {
 	return buf.Bytes()
 }
 
+// Restore replaces the recorder's steps with those of Encode's output.
+func (r *Recorder) Restore(b []byte) error {
+	restored, err := DecodeRecorder(b)
+	if err != nil {
+		return err
+	}
+	*r = *restored
+	return nil
+}
+
 // DecodeRecorder restores a recorder from Encode's output. Checkpoint
 // payloads are CRC-framed by the journal, so limits stay at their defaults.
 func DecodeRecorder(b []byte) (*Recorder, error) {

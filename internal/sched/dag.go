@@ -144,14 +144,14 @@ func (d *DAG) Successors(t int) []int32 {
 // bound no amount of parallelism can beat. TotalCost/CritCost is therefore
 // the maximum speedup the DAG's shape admits.
 type Stats struct {
-	Tasks    int     `json:"tasks"`
-	Edges    int     `json:"edges"`
-	Roots    int     `json:"roots"` // in-degree-zero tasks: the initial ready set
-	Depth    int     `json:"depth"` // critical path length in tasks
-	MaxWidth int     `json:"max_width"`
-	AvgOut   float64 `json:"avg_out_degree"`
-	TotalCost int64  `json:"total_cost"`
-	CritCost  int64  `json:"crit_cost"`
+	Tasks     int     `json:"tasks"`
+	Edges     int     `json:"edges"`
+	Roots     int     `json:"roots"` // in-degree-zero tasks: the initial ready set
+	Depth     int     `json:"depth"` // critical path length in tasks
+	MaxWidth  int     `json:"max_width"`
+	AvgOut    float64 `json:"avg_out_degree"`
+	TotalCost int64   `json:"total_cost"`
+	CritCost  int64   `json:"crit_cost"`
 }
 
 // Stats computes the DAG's shape statistics in one forward pass (task order
@@ -161,8 +161,8 @@ func (d *DAG) Stats() Stats {
 	if d.n == 0 {
 		return st
 	}
-	depth := make([]int32, d.n)   // level of each task, 0 until finalized
-	reach := make([]int64, d.n)   // heaviest cost-weighted path ending before the task
+	depth := make([]int32, d.n) // level of each task, 0 until finalized
+	reach := make([]int64, d.n) // heaviest cost-weighted path ending before the task
 	width := map[int32]int{}
 	for t := 0; t < d.n; t++ {
 		if d.indeg[t] == 0 {

@@ -1,19 +1,18 @@
 package repro
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
-// Parallel-schedule smoke: the same proof driven through dpv sequentially,
-// with the fixed-chunk split, and with the work-stealing DAG schedule. The
-// verdict line must agree everywhere, and because the DAG schedule honors
-// the marking walk and records hints, its core and LRAT artifacts must be
-// byte-identical to the sequential run's — the chunked mode cannot produce
-// them at all.
+// Parallel smoke: the same proof driven through dpv sequentially and with
+// the fixed-chunk split. The verdict line must agree, and the chunked
+// report must say what ran — check-all, no core. One worker runs the
+// sequential check-all checker, so its report equals -all's. The hinted
+// proof the sequential run emits must replay under both lratcheck
+// schedules, the work-stealing DAG one included.
 func TestParSmoke(t *testing.T) {
 	bins := buildCmds(t)
 	fixtures := t.TempDir()
@@ -22,54 +21,44 @@ func TestParSmoke(t *testing.T) {
 	dpv := filepath.Join(bins, "dpv")
 	lratcheck := filepath.Join(bins, "lratcheck")
 	dir := t.TempDir()
+	lratPath := filepath.Join(dir, "seq.lrat")
 
-	artifacts := func(tag string, extra ...string) []string {
-		args := append([]string{}, extra...)
-		args = append(args, "-core", filepath.Join(dir, tag+".core"),
-			"-emit-lrat", filepath.Join(dir, tag+".lrat"))
-		return append(args, cnfPath, tracePath)
-	}
-
-	code, seqOut := runWithEnv(t, nil, dpv, artifacts("seq")...)
+	code, seqOut := runWithEnv(t, nil, dpv, "-emit-lrat", lratPath, cnfPath, tracePath)
 	if code != 0 {
 		t.Fatalf("sequential exit %d:\n%s", code, seqOut)
 	}
-	code, dagOut := runWithEnv(t, nil, dpv, artifacts("dag", "-par", "4", "-sched", "dag")...)
-	if code != 0 {
-		t.Fatalf("dag exit %d:\n%s", code, dagOut)
-	}
-	if dagOut != seqOut {
-		t.Errorf("dag stdout diverged from sequential:\n got %q\nwant %q", dagOut, seqOut)
-	}
-	for _, ext := range []string{".core", ".lrat"} {
-		seq, err := os.ReadFile(filepath.Join(dir, "seq"+ext))
-		if err != nil {
-			t.Fatal(err)
-		}
-		dag, err := os.ReadFile(filepath.Join(dir, "dag"+ext))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(seq, dag) {
-			t.Errorf("dag %s artifact is not byte-identical to the sequential one", ext)
-		}
-	}
-
-	// The chunked schedule reaches the same verdict (its report differs:
-	// check-all counters, no core line).
-	code, chunkOut := runWithEnv(t, nil, dpv, "-par", "4", "-sched", "chunk", cnfPath, tracePath)
+	code, chunkOut := runWithEnv(t, nil, dpv, "-par", "4", cnfPath, tracePath)
 	if code != 0 {
 		t.Fatalf("chunk exit %d:\n%s", code, chunkOut)
 	}
 	const verdict = "s PROOF VERIFIED\n"
-	if !bytes.HasPrefix([]byte(chunkOut), []byte(verdict)) || !bytes.HasPrefix([]byte(seqOut), []byte(verdict)) {
+	if !strings.HasPrefix(chunkOut, verdict) || !strings.HasPrefix(seqOut, verdict) {
 		t.Fatalf("verdict lines diverged:\nchunk %q\nseq %q", chunkOut, seqOut)
 	}
+	for _, line := range []string{
+		"c mode=check-all engine=watched",
+		"c unsat core: not extracted",
+	} {
+		if !strings.Contains(chunkOut, "\n"+line) {
+			t.Errorf("chunked report lacks %q:\n%s", line, chunkOut)
+		}
+	}
 
-	// The recorded proof replays under both lratcheck schedules.
+	code, allOut := runWithEnv(t, nil, dpv, "-all", cnfPath, tracePath)
+	if code != 0 {
+		t.Fatalf("-all exit %d:\n%s", code, allOut)
+	}
+	code, par1Out := runWithEnv(t, nil, dpv, "-par", "1", cnfPath, tracePath)
+	if code != 0 {
+		t.Fatalf("-par 1 exit %d:\n%s", code, par1Out)
+	}
+	if par1Out != allOut {
+		t.Errorf("-par 1 report diverged from -all:\n got %q\nwant %q", par1Out, allOut)
+	}
+
 	for _, sched := range []string{"chunk", "dag"} {
 		code, out := runWithEnv(t, nil, lratcheck,
-			"-q", "-par", strconv.Itoa(4), "-sched", sched, cnfPath, filepath.Join(dir, "dag.lrat"))
+			"-q", "-par", strconv.Itoa(4), "-sched", sched, cnfPath, lratPath)
 		if code != 0 {
 			t.Errorf("lratcheck -sched %s rejected the emitted proof (exit %d):\n%s", sched, code, out)
 		}
